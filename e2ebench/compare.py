@@ -55,6 +55,7 @@ def run_once(tree, workload, seed, seconds, trace):
             tree, workload, seed, completed.returncode, completed.stderr[-2000:]))
     result = json.loads(lines[-1])
     result["wall_s"] = wall
+    result["summary"] = lines[:-1]  # the run's own summary lines, e.g. time shares by request kind
     return result
 
 
@@ -112,8 +113,7 @@ def report(records_a, records_b, spec):
             if metric is not None:
                 worse = change if metric["better"] == "lower" else -change
                 within = worse <= metric["bound"]
-                steady = name == "setup_s" or (
-                    spread_a <= metric["bound"] and spread_b <= metric["bound"])
+                steady = spread_a <= metric["bound"] and spread_b <= metric["bound"]
                 verdict = "%s (bound %.2f)%s" % (
                     "ok" if within else "WORSE", metric["bound"],
                     "" if steady else ", SPREAD ABOVE BOUND")
@@ -143,7 +143,6 @@ def main(argv=None):
     sets.add_argument("--b", required=True, help="checkout root of side B")
     sets.add_argument("--runs", type=int, default=10)
     sets.add_argument("--seed0", type=int, default=1)
-    sets.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     sets.add_argument("--workloads", nargs="*", help="default: every workload")
     sets.add_argument("--trace", action="store_true", help="traced runs of seed0 only")
     sets.add_argument("--out-a", required=True)
@@ -159,7 +158,7 @@ def main(argv=None):
 
     trees = {"A": os.path.abspath(args.a), "B": os.path.abspath(args.b)}
     spec = benchmark_spec(trees["A"])
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = args.workloads or [workload["name"] for workload in spec["workloads"]]
     records = {"A": [], "B": []}
     for index in range(args.runs):

@@ -2,12 +2,14 @@
 
 Usage (from the repository root)::
 
-    python3 e2ebench/run.py --workload decide --seed 1 --seconds 15 --trace 0
+    python3 e2ebench/run.py --workload decide --seed 1 --seconds 20 --trace 0
 
 The workload's inputs are generated from ``--seed``.  After set-up the
-run repeats whole rounds while another round still fits in ``--seconds``
-of timed requests, and in any case until at least :data:`MIN_REQUESTS`
-requests were timed and the workload's ``MIN_ROUNDS`` rounds were made.
+run repeats whole cycles of rounds (the workload's ``CYCLE``, one round
+unless it says otherwise) while another cycle still fits in
+``--seconds`` of timed requests, and in any case until at least
+:data:`MIN_REQUESTS` requests were timed.  Every cycle is the same work,
+so how many of them fit changes how long a run measures, never what.
 Time spent outside requests (cache clearing, the correctness checks) is
 not counted.  The last line of standard output is
 one JSON object::
@@ -31,6 +33,7 @@ import time
 STARTED = time.perf_counter()
 
 import argparse  # noqa: E402
+import gc  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
 import resource  # noqa: E402
@@ -42,7 +45,7 @@ SRC = os.path.join(os.path.dirname(HERE), "src")
 
 WORKLOADS = ("decide", "enumerate", "monitor_wide", "monitor_deep")
 MIN_REQUESTS = 100
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 
 
 class Recorder:
@@ -51,6 +54,7 @@ class Recorder:
     def __init__(self, tracer=None):
         self.tracer = tracer
         self.latencies = []
+        self.seconds_by_kind = {}
         self.attempted = 0
         self.failed = 0
         self.errors = []
@@ -69,6 +73,7 @@ class Recorder:
         if tracer is not None:
             tracer.end(start, name)
         self.latencies.append(elapsed)
+        self.seconds_by_kind[name] = self.seconds_by_kind.get(name, 0.0) + elapsed
         return result, error
 
     def outcome(self, attempted, failed, error=None):
@@ -84,9 +89,14 @@ class Recorder:
     def timed_seconds(self):
         return sum(self.latencies)
 
+    def shares(self):
+        """Each request kind's share of the timed seconds, for the summary line."""
+        total = self.timed_seconds()
+        return {name: seconds / total for name, seconds in sorted(self.seconds_by_kind.items())}
+
 
 def load(name):
-    """The workload's set-up, round, minimum rounds and rounds per traced block."""
+    """The workload's set-up, round, rounds per cycle and rounds per traced block."""
     if name == "decide":
         import wl_decide as module
 
@@ -99,7 +109,7 @@ def load(name):
         import wl_monitor as module
 
         setup = module.setup_for(name)
-    return (setup, module.run_round, getattr(module, "MIN_ROUNDS", 1),
+    return (setup, module.run_round, getattr(module, "CYCLE", 1),
             getattr(module, "TRACE_ROUNDS", 1))
 
 
@@ -123,14 +133,14 @@ def end_to_end(setup_s, rec):
     }
 
 
-def timed_rounds(args, run_round, min_rounds, prepared, rec):
-    rounds = 0
+def timed_rounds(args, run_round, cycle, prepared, rec):
+    cycles = 0
     while True:
-        run_round(prepared, rec, rounds)
-        rounds += 1
+        for index in range(cycle):
+            run_round(prepared, rec, index)
+        cycles += 1
         timed = rec.timed_seconds()
-        if (rounds >= min_rounds and len(rec.latencies) >= MIN_REQUESTS
-                and timed * (rounds + 1) / rounds > args.seconds):
+        if len(rec.latencies) >= MIN_REQUESTS and timed * (cycles + 1) / cycles > args.seconds:
             return
 
 
@@ -148,6 +158,7 @@ def traced_blocks(args, setup, run_round, block, prepared, rec):
     start = time.perf_counter()
     prepared = setup(args.seed)
     tracer.end(start, "setup")
+    gc.freeze()
     totals = [tracer.snapshot()]
     rec.tracer = tracer
     seconds = []
@@ -208,24 +219,34 @@ def main(argv=None):
     sys.path.insert(0, SRC)
     import repro  # noqa: F401  -- import time is part of set-up
 
-    setup, run_round, min_rounds, block = load(args.workload)
+    setup, run_round, cycle, block = load(args.workload)
     from specs import fresh_caches
 
     imported = time.perf_counter() - STARTED
     setups = []
+    prepared = None
     for _ in range(SETUP_REPEATS):
+        # Drop the previous copy first: one copy of the inputs is alive at
+        # a time, so the inputs count once in ``peak_rss_mb``.
+        prepared = None
         fresh_caches()
         start = time.perf_counter()
         prepared = setup(args.seed)
         setups.append(time.perf_counter() - start)
     setup_s = imported + statistics.median(setups)
+    # Everything alive now (the program's modules and the inputs) goes to
+    # the collector's permanent generation, so neither the collections
+    # inside timed requests nor the untimed ``gc.collect()`` between
+    # queries walk the benchmark's own inputs.
+    gc.freeze()
+    setup_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     rec = Recorder()
     correct = True
     if args.trace:
         metrics, correct = traced_blocks(args, setup, run_round, block, prepared, rec)
     else:
-        timed_rounds(args, run_round, min_rounds, prepared, rec)
+        timed_rounds(args, run_round, cycle, prepared, rec)
         metrics = end_to_end(setup_s, rec)
     for error in rec.errors:
         print("e2ebench %s: %s" % (args.workload, error), file=sys.stderr)
@@ -233,6 +254,11 @@ def main(argv=None):
         args.workload, rec.attempted, rec.failed,
         ", ".join("%s %.6g %s" % (name, metric["value"], metric["unit"])
                   for name, metric in sorted(metrics.items()))))
+    print("%s: %d requests; timed seconds by request kind: %s; set-up: import %.4f s, "
+          "median set-up %.4f s of %d; peak RSS at the end of set-up %.1f MB" % (
+              args.workload, len(rec.latencies),
+              ", ".join("%s %.1f%%" % (name, 100 * share) for name, share in rec.shares().items()),
+              imported, statistics.median(setups), SETUP_REPEATS, setup_rss_mb))
     print(json.dumps({
         "correct": bool(correct and rec.attempted > 0),
         "attempted": rec.attempted,

@@ -14,12 +14,12 @@ Each session's history is a random walk ``a -> {a, b}``, ``b -> a`` with
 fresh register-1 values and register 2 alternating.  A fifth of the
 sessions, chosen by the seed, carries one planted violation at a seeded
 position in the last tenth of its history (a repeated register-1 value
-or a repeated register-2 value).  A round feeds every
-history through a fresh :class:`MonitorMultiplexer` over a freshly built
-spec, with cold caches, one ``ingest`` call
-per request; it is correct when every violating session stopped exactly
-at its planted position and every clean session consumed its whole
-history without a violation.
+or a repeated register-2 value).  A round feeds every history through a
+fresh :class:`MonitorMultiplexer` over a freshly built spec, with cold
+caches, one ``ingest`` call per request (each batch's events are built
+just before it, untimed); it is correct when every violating session
+stopped exactly at its planted position and every clean session consumed
+its whole history without a violation.
 """
 
 from repro import (
@@ -73,54 +73,72 @@ def build_spec():
     )
 
 
-def _history(rng, session, length, planted):
-    """The events of one session, with a violation at position *planted* unless ``None``."""
+def _walk(rng, length):
+    """A random walk ``a -> {a, b}``, ``b -> a`` from ``a``, as a string of states."""
     states = ["a"]
     for _ in range(length - 1):
         states.append("a" if states[-1] == "b" or rng.random() < 0.5 else "b")
-    values = [["%s.%d" % (session, t), "w%d" % (t % 2)] for t in range(length)]
-    if planted is not None:
-        if rng.random() < 0.5:
-            values[planted][0] = values[rng.randrange(planted)][0]
-        else:
-            values[planted][1] = values[planted - 1][1]
-    return [(session, state, tuple(row)) for state, row in zip(states, values)]
+    return "".join(states)
 
 
 class Prepared:
+    """Each session's walk and planted violation.
+
+    The events themselves are built batch by batch, just before each
+    ``ingest`` and outside the timed request, so the inputs held between
+    requests stay small and ``peak_rss_mb`` is set by the program.
+    """
+
     def __init__(self, name, seed):
         shape = SHAPES[name]
         rng = specs.rng_for(seed, name)
         self.database = Database(Signature.empty())
         self.history = shape["history"]
-        sessions = ["s%05d" % index for index in range(shape["sessions"])]
+        self.shape = shape
+        self.sessions = ["s%05d" % index for index in range(shape["sessions"])]
         # A fixed number of violating sessions, each stopping in the last
         # tenth of its history: a failed session does no further work, so
         # this keeps the work per round nearly the same for every seed.
-        violating = set(rng.sample(sessions, round(VIOLATING_SHARE * len(sessions))))
+        violating = set(rng.sample(self.sessions, round(VIOLATING_SHARE * len(self.sessions))))
         earliest = max(1, int(0.9 * self.history))
-        self.planted = {
-            session: rng.randrange(earliest, self.history) if session in violating else None
-            for session in sessions
-        }
-        histories = {
-            session: _history(rng, session, self.history, self.planted[session])
-            for session in sessions
-        }
-        if "batch" in shape:
-            width = shape["batch"]
-            slices = [sessions[i:i + width] for i in range(0, len(sessions), width)]
-            self.batches = [
-                [histories[session][position] for session in chunk]
-                for position in range(self.history)
-                for chunk in slices
-            ]
+        self.walks = {session: _walk(rng, self.history) for session in self.sessions}
+        self.planted = {}
+        #: session -> (register index, earlier position whose value it repeats)
+        self.copied = {}
+        for session in self.sessions:
+            if session not in violating:
+                self.planted[session] = None
+                continue
+            planted = self.planted[session] = rng.randrange(earliest, self.history)
+            if rng.random() < 0.5:
+                self.copied[session] = (0, rng.randrange(planted))
+            else:
+                self.copied[session] = (1, planted - 1)
+
+    def event(self, session, position):
+        """Register 1 fresh per position, register 2 alternating, unless planted here."""
+        row = ("%s.%d" % (session, position), "w%d" % (position % 2))
+        copied = self.copied.get(session)
+        if copied is not None and position == self.planted[session]:
+            register, source = copied
+            row = list(row)
+            row[register] = self.event(session, source)[2][register]
+            row = tuple(row)
+        return (session, self.walks[session][position], row)
+
+    def batches(self):
+        if "batch" in self.shape:
+            width = self.shape["batch"]
+            chunks = [self.sessions[i:i + width] for i in range(0, len(self.sessions), width)]
+            for position in range(self.history):
+                for chunk in chunks:
+                    yield [self.event(session, position) for session in chunk]
         else:
-            step = shape["per_batch"]
-            self.batches = [
-                [event for session in sessions for event in histories[session][start:start + step]]
-                for start in range(0, self.history, step)
-            ]
+            step = self.shape["per_batch"]
+            for start in range(0, self.history, step):
+                yield [self.event(session, position)
+                       for session in self.sessions
+                       for position in range(start, start + step)]
 
 
 def setup_for(name):
@@ -132,7 +150,7 @@ def run_round(prepared, rec, index=0):
     mux = MonitorMultiplexer(build_spec(), prepared.database)
     attempted = failed = 0
     first_error = None
-    for batch in prepared.batches:
+    for batch in prepared.batches():
         report, error = rec.call("ingest", lambda: mux.ingest(batch))
         attempted += len(batch)
         if error is None and report.outcome.status is not OutcomeStatus.COMPLETE:
